@@ -20,7 +20,7 @@ from repro.errors import (
     TopicAlreadyExistsError,
     UnknownTopicOrPartitionError,
 )
-from repro.broker.fetch import FetchResult, fetch, fetch_columnar
+from repro.broker.fetch import fetch
 from repro.broker.group_coordinator import GroupCoordinator
 from repro.broker.partition import (
     CONSUMER_OFFSETS_TOPIC,
@@ -30,8 +30,9 @@ from repro.broker.partition import (
     TopicPartition,
 )
 from repro.broker.txn_coordinator import TransactionCoordinator
+from repro.log.columnar import ColumnarBatch
 from repro.log.compaction import compact_log
-from repro.log.partition_log import AppendResult
+from repro.log.partition_log import AppendResult, PartitionLog
 from repro.log.record import RecordBatch
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -302,14 +303,12 @@ class Cluster:
         from_offset: int,
         max_records: int,
         isolation_level: str,
-    ) -> FetchResult:
+    ) -> ColumnarBatch:
         log = self.partition_state(tp).leader_log()
-        result = fetch(log, from_offset, max_records, isolation_level)
-        if result.records:
-            self.metrics.counter("broker.fetched_records").increment(
-                len(result.records)
-            )
-        return result
+        return self._serve_fetch(log, from_offset, max_records, isolation_level)
+
+    # Kept because perfbench/layertrace.py's TARGETS names it.
+    handle_fetch_columnar = handle_fetch
 
     def handle_fetch_replica(
         self,
@@ -318,7 +317,7 @@ class Cluster:
         from_offset: int,
         max_records: int,
         isolation_level: str,
-    ) -> FetchResult:
+    ) -> ColumnarBatch:
         """Fetch from a *specific* in-sync replica (KIP-392-style follower
         read), used by the gray-failure hedge when the leader is demoted.
 
@@ -333,30 +332,26 @@ class Cluster:
             raise NotLeaderError(
                 f"{tp}: broker {broker_id} is not in the ISR; cannot serve reads"
             )
-        result = fetch(state.replicas[broker_id], from_offset, max_records,
-                       isolation_level)
-        if result.records:
-            self.metrics.counter("broker.fetched_records").increment(
-                len(result.records)
-            )
-            self.metrics.counter("broker.follower_reads").increment()
-        return result
+        return self._serve_fetch(
+            state.replicas[broker_id], from_offset, max_records,
+            isolation_level, follower=True,
+        )
 
-    def handle_fetch_columnar(
+    def _serve_fetch(
         self,
-        tp: TopicPartition,
+        log: PartitionLog,
         from_offset: int,
         max_records: int,
         isolation_level: str,
-    ):
-        """Columnar fetch: returns a ColumnarBatch (slice + validity runs)
-        instead of materialized records."""
-        log = self.partition_state(tp).leader_log()
-        batch = fetch_columnar(log, from_offset, max_records, isolation_level)
+        follower: bool = False,
+    ) -> ColumnarBatch:
+        batch = fetch(log, from_offset, max_records, isolation_level)
         if batch.valid_count:
             self.metrics.counter("broker.fetched_records").increment(
                 batch.valid_count
             )
+            if follower:
+                self.metrics.counter("broker.follower_reads").increment()
         return batch
 
     def end_offset(self, tp: TopicPartition, isolation_level: str) -> int:

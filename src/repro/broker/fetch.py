@@ -10,32 +10,17 @@ Implements Section 4.2.3 of the paper. A read-committed fetch
   aborted-transaction index;
 * skips control (marker) records, which are protocol metadata, while still
   advancing the consumer's position across them.
+
+The result is a :class:`~repro.log.columnar.ColumnarBatch`: a slice of the
+log plus validity runs, with the fetch position and watermarks attached.
+Its ``records`` property is the scalar view of the same runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
 from repro.config import READ_COMMITTED, READ_SPECULATIVE, READ_UNCOMMITTED
-from repro.log.columnar import ColumnarBatch
+from repro.log.columnar import ColumnarBatch, empty_batch
 from repro.log.partition_log import PartitionLog
-from repro.log.record import Record
-
-
-@dataclass
-class FetchResult:
-    """Records visible to the consumer plus the position to resume from.
-
-    ``next_offset`` can be larger than the last returned record's offset + 1
-    because markers and aborted records are consumed (position-wise) but
-    not returned.
-    """
-
-    records: List[Record] = field(default_factory=list)
-    next_offset: int = 0
-    high_watermark: int = 0
-    last_stable_offset: int = 0
 
 
 def fetch(
@@ -43,8 +28,14 @@ def fetch(
     from_offset: int,
     max_records: int = 500,
     isolation_level: str = READ_UNCOMMITTED,
-) -> FetchResult:
-    """Fetch visible records from ``log`` starting at ``from_offset``."""
+) -> ColumnarBatch:
+    """Fetch visible records from ``log`` starting at ``from_offset``.
+
+    ``next_offset`` can be larger than the last returned record's offset + 1
+    because markers and aborted records are consumed (position-wise) but
+    not returned. Control-marker skipping and aborted-span filtering happen
+    as bisected run masking inside :meth:`PartitionLog.read_columnar`.
+    """
     if isolation_level == READ_COMMITTED:
         limit = log.last_stable_offset
     elif isolation_level in (READ_UNCOMMITTED, READ_SPECULATIVE):
@@ -55,64 +46,9 @@ def fetch(
         raise ValueError(f"unknown isolation level: {isolation_level!r}")
 
     from_offset = max(from_offset, log.log_start_offset)
-    result = FetchResult(
-        next_offset=from_offset,
-        high_watermark=log.high_watermark,
-        last_stable_offset=log.last_stable_offset,
-    )
     if from_offset >= limit:
-        return result
-
-    # Read in budget-bounded chunks: a 500-record poll against a
-    # million-record tail slices out ~500 records, not the whole tail.
-    # Skipped entries (markers, aborted spans) don't count against the
-    # budget, so the loop keeps reading until it either fills the budget
-    # or exhausts the visible range — exactly the records a full-tail
-    # scan would have returned.
-    filter_aborted = isolation_level in (READ_COMMITTED, READ_SPECULATIVE)
-    out = result.records
-    position = from_offset
-    while len(out) < max_records and position < limit:
-        chunk = log.read(
-            position, max_records=max_records - len(out), up_to_offset=limit
-        )
-        if not chunk:
-            break
-        for record in chunk:
-            result.next_offset = record.offset + 1
-            if record.is_control:
-                continue
-            if filter_aborted and log.is_offset_aborted(
-                record.producer_id, record.offset
-            ):
-                continue
-            out.append(record)
-        position = chunk[-1].offset + 1
-    return result
-
-
-def fetch_columnar(
-    log: PartitionLog,
-    from_offset: int,
-    max_records: int = 500,
-    isolation_level: str = READ_UNCOMMITTED,
-) -> ColumnarBatch:
-    """Columnar twin of :func:`fetch`: same visibility semantics, but the
-    result is a :class:`ColumnarBatch` — a slice of the log plus validity
-    runs — with no per-record scanning or materialization. Control-marker
-    skipping and aborted-span filtering happen as bisected run masking
-    inside :meth:`PartitionLog.read_columnar`."""
-    if isolation_level == READ_COMMITTED:
-        limit = log.last_stable_offset
-    elif isolation_level in (READ_UNCOMMITTED, READ_SPECULATIVE):
-        limit = log.high_watermark
-    else:
-        raise ValueError(f"unknown isolation level: {isolation_level!r}")
-
-    from_offset = max(from_offset, log.log_start_offset)
-    if from_offset >= limit:
-        return ColumnarBatch(
-            [], [], from_offset, log.high_watermark, log.last_stable_offset
+        return empty_batch(
+            from_offset, log.high_watermark, log.last_stable_offset
         )
     return log.read_columnar(
         from_offset,

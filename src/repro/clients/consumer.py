@@ -8,7 +8,6 @@ consumer's position still advances across markers and filtered spans.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.broker.cluster import Cluster
@@ -80,7 +79,7 @@ class Consumer:
         self.rebalance_callback = None
 
         self.records_consumed = 0
-        # Poll-size telemetry, shared by the scalar and columnar paths.
+        # Poll-size telemetry.
         self._records_per_poll = cluster.metrics.histogram(
             "consumer.records_per_poll"
         )
@@ -96,8 +95,8 @@ class Consumer:
             "consumer.fetch_rtt_ms", client=self.config.client_id
         )
         # Gray-failure detection (config.hedged_fetch): per-broker latency
-        # EWMA over fetch round trips; while the leader is demoted, scalar
-        # fetches hedge to another in-sync replica.
+        # EWMA over fetch round trips; while the leader is demoted, fetches
+        # hedge to another in-sync replica.
         self._gray = (
             GrayFailureDetector(cluster.clock, metrics=cluster.metrics)
             if self.config.hedged_fetch
@@ -235,57 +234,55 @@ class Consumer:
     def poll(self, max_records: Optional[int] = None) -> List[Record]:
         """Fetch the next visible records across assigned partitions.
 
+        The scalar view of :meth:`poll_batches`: each batch's records come
+        back as copies carrying the origin headers ``__topic`` /
+        ``__partition`` (plus the ``__t_fetched`` stage stamp when the
+        batch has one), since the log's record objects are shared.
+        """
+        out: List[Record] = []
+        for batch in self.poll_batches(max_records):
+            extra: Dict[str, Any] = {
+                "__topic": batch.topic, "__partition": batch.partition
+            }
+            if batch.fetched_at is not None:
+                extra[FETCHED_AT_HEADER] = batch.fetched_at
+            # Direct construction — dataclasses.replace costs ~3x as much
+            # on this per-record path.
+            out.extend(
+                Record(
+                    key=r.key,
+                    value=r.value,
+                    timestamp=r.timestamp,
+                    headers={**r.headers, **extra},
+                    offset=r.offset,
+                    producer_id=r.producer_id,
+                    producer_epoch=r.producer_epoch,
+                    sequence=r.sequence,
+                    is_transactional=r.is_transactional,
+                    is_control=r.is_control,
+                    control_type=r.control_type,
+                )
+                for r in batch.records
+            )
+        return out
+
+    def poll_batches(
+        self, max_records: Optional[int] = None
+    ) -> List[ColumnarBatch]:
+        """The next visible records as at most one :class:`ColumnarBatch`
+        per assigned partition; empty batches are left out.
+
         Partitions are served round-robin so one busy partition cannot
-        starve the others.
+        starve the others. Nothing is materialized — each batch is a slice
+        of the broker log plus validity runs, stamped with its origin
+        ``topic``/``partition``. Scalar ``Record`` views stay available via
+        ``batch.records``.
         """
         if self._closed:
             raise KafkaError("consumer is closed")
         if self._member_id is not None and not self._manual_assignment:
             # Heartbeat piggybacks on poll (and is also a coordinator safe
             # point where deferred session evictions are applied).
-            self.cluster.group_coordinator.heartbeat(
-                self.config.group_id, self._member_id
-            )
-        self._maybe_rejoin()
-        budget = max_records or self.config.max_poll_records
-        out: List[Record] = []
-        active = [tp for tp in self._assignment if tp not in self._paused]
-        if not active:
-            return out
-        for i in range(len(active)):
-            if budget <= 0:
-                break
-            tp = active[(self._fetch_cursor + i) % len(active)]
-            try:
-                records = self._fetch_one(tp, budget)
-            except RetriableError:
-                # Leaderless partition, dropped fetch, dead broker: skip
-                # this partition for the round and let the next poll retry
-                # with refreshed routing. Positions are untouched, so
-                # nothing is lost or re-read.
-                self._leader_cache.pop(tp, None)
-                self._note_fetch_error(tp)
-                continue
-            out.extend(records)
-            budget -= len(records)
-        self._fetch_cursor += 1
-        self.records_consumed += len(out)
-        self._records_per_poll.observe(len(out))
-        return out
-
-    def poll_batches(
-        self, max_records: Optional[int] = None
-    ) -> List[ColumnarBatch]:
-        """Columnar poll: the next visible records as at most one
-        :class:`ColumnarBatch` per assigned partition, round-robin.
-
-        Nothing is materialized — each batch is a slice of the broker log
-        plus validity runs, stamped with its origin ``topic``/``partition``.
-        Scalar ``Record`` views stay available via ``batch.records()``.
-        """
-        if self._closed:
-            raise KafkaError("consumer is closed")
-        if self._member_id is not None and not self._manual_assignment:
             self.cluster.group_coordinator.heartbeat(
                 self.config.group_id, self._member_id
             )
@@ -301,8 +298,12 @@ class Consumer:
                 break
             tp = active[(self._fetch_cursor + i) % len(active)]
             try:
-                batch = self._fetch_one_columnar(tp, budget)
+                batch = self._fetch_one(tp, budget)
             except RetriableError:
+                # Leaderless partition, dropped fetch, dead broker: skip
+                # this partition for the round and let the next poll retry
+                # with refreshed routing. Positions are untouched, so
+                # nothing is lost or re-read.
                 self._leader_cache.pop(tp, None)
                 self._note_fetch_error(tp)
                 continue
@@ -348,20 +349,19 @@ class Consumer:
                 return broker
         return None
 
-    def _fetch_one(self, tp: TopicPartition, budget: int) -> List[Record]:
+    def _fetch_one(self, tp: TopicPartition, budget: int) -> ColumnarBatch:
         position = self._positions.get(tp)
         if position is None:
             position = self._reset_offset(tp)
             self._positions[tp] = position
         leader = self._leader_of(tp)
-        traced = self._tracer.enabled
         gray = self._gray
         target = leader
         if gray is not None and gray.is_demoted(leader):
             alt = self._alternate_replica(tp, leader, gray)
             if alt is not None:
                 target = alt
-        if target is leader:
+        if target == leader:
             fn = lambda: self.cluster.handle_fetch(  # noqa: E731
                 tp, position, budget, self.config.isolation_level
             )
@@ -370,7 +370,7 @@ class Consumer:
                 tp, target, position, budget, self.config.isolation_level
             )
         fetch_started = self.cluster.clock.now
-        result = self._network.call(
+        batch = self._network.call(
             "fetch",
             target,
             fn,
@@ -390,66 +390,16 @@ class Consumer:
             if target != leader:
                 self.hedged_fetches += 1
                 self.cluster.metrics.counter("consumer.hedged_fetches").increment()
-        self._positions[tp] = result.next_offset
-        self._note_fetch(tp, result, fetch_started)
-        # Return copies: the log's record objects are shared, and the
-        # origin headers must reflect *this* fetch, not any upstream hop.
-        # (Direct construction — dataclasses.replace costs ~3x as much on
-        # this per-record path.)
-        topic, partition = tp
-        extra: Dict[str, Any] = {"__topic": topic, "__partition": partition}
-        if traced:
-            self.cluster.metrics.histogram(
-                "fetch_latency_ms", topic=topic, partition=partition
-            ).observe(self.cluster.clock.now - fetch_started)
-            if self.stage_stamping:
-                extra[FETCHED_AT_HEADER] = self.cluster.clock.now
-        return [
-            Record(
-                key=r.key,
-                value=r.value,
-                timestamp=r.timestamp,
-                headers={**r.headers, **extra},
-                offset=r.offset,
-                producer_id=r.producer_id,
-                producer_epoch=r.producer_epoch,
-                sequence=r.sequence,
-                is_transactional=r.is_transactional,
-                is_control=r.is_control,
-                control_type=r.control_type,
-            )
-            for r in result.records
-        ]
-
-    def _fetch_one_columnar(
-        self, tp: TopicPartition, budget: int
-    ) -> ColumnarBatch:
-        position = self._positions.get(tp)
-        if position is None:
-            position = self._reset_offset(tp)
-            self._positions[tp] = position
-        leader = self._leader_of(tp)
-        traced = self._tracer.enabled
-        fetch_started = self.cluster.clock.now
-        batch = self._network.call(
-            "fetch",
-            leader,
-            lambda: self.cluster.handle_fetch_columnar(
-                tp, position, budget, self.config.isolation_level
-            ),
-            base_cost_ms=self._network.fetch_cost(),
-            src=self.config.client_id,
-        )
         self._positions[tp] = batch.next_offset
         self._note_fetch(tp, batch, fetch_started)
-        # No per-record copies and no per-record stage stamps here: the
-        # batch view is read-only and origin metadata rides on the batch
-        # itself (per-batch span mode; see obs/stages.py).
         batch.topic, batch.partition = tp
-        if traced:
+        if self._tracer.enabled:
+            now = self.cluster.clock.now
             self.cluster.metrics.histogram(
                 "fetch_latency_ms", topic=batch.topic, partition=batch.partition
-            ).observe(self.cluster.clock.now - fetch_started)
+            ).observe(now - fetch_started)
+            if self.stage_stamping:
+                batch.fetched_at = now
         return batch
 
     # -- lag bookkeeping --------------------------------------------------------------------
@@ -459,12 +409,14 @@ class Consumer:
     #: hedged_fetch is off).
     RTT_ALPHA = 0.2
 
-    def _note_fetch(self, tp: TopicPartition, response: Any, started: float) -> None:
+    def _note_fetch(
+        self, tp: TopicPartition, response: ColumnarBatch, started: float
+    ) -> None:
         """Update lag + RTT gauges from one fetch response.
 
-        ``response`` is a FetchResult or ColumnarBatch — both carry
-        ``next_offset`` plus the partition's high watermark and last
-        stable offset, so lag needs no extra broker round trip.
+        The batch carries ``next_offset`` plus the partition's high
+        watermark and last stable offset, so lag needs no extra broker
+        round trip.
         """
         end = (
             response.last_stable_offset

@@ -7,12 +7,12 @@ hot path move *batches* instead:
 * :class:`ColumnarBatch` — the read-side view. It wraps a contiguous slice
   of a partition log's backing record list plus a set of *validity runs*:
   half-open ``(start, end)`` index ranges covering exactly the records a
-  scalar read-committed fetch would have returned (control markers and
-  aborted-transaction records fall in the gaps between runs). Column
+  read-committed fetch returns (control markers and aborted-transaction
+  records fall in the gaps between runs). Column
   accessors (``keys()``, ``values()``, ``timestamps()``, ...) are built
-  lazily, once, as plain lists; scalar ``Record`` views stay available via
-  ``records()`` / ``iter_records()`` for any consumer that is not
-  batch-aware.
+  lazily, once, as plain lists. It is the only type a fetch returns:
+  consumers that want scalar ``Record`` objects read the cached
+  ``records`` view, built from the same runs.
 
 * :class:`ColumnarSlab` — the write-side twin. A producer accumulates
   pending sends as parallel columns and ships the slab straight to the
@@ -28,7 +28,7 @@ expanded bitmap when callers want the flat form.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.log.record import NO_PRODUCER_ID, NO_SEQUENCE, Record
 
@@ -43,8 +43,9 @@ class ColumnarBatch:
 
     Carries the fetch-result metadata (``next_offset``, watermarks) so the
     broker fetch path can hand the batch to the consumer without an extra
-    wrapper, and the consumer stamps ``topic`` / ``partition`` before
-    handing it to the app.
+    wrapper. The consumer stamps ``topic`` / ``partition`` before handing
+    it to the app, and ``fetched_at`` (virtual ms) when the records owe a
+    ``__t_fetched`` stage stamp.
     """
 
     __slots__ = (
@@ -55,6 +56,8 @@ class ColumnarBatch:
         "last_stable_offset",
         "topic",
         "partition",
+        "fetched_at",
+        "_records",
         "_keys",
         "_values",
         "_timestamps",
@@ -81,6 +84,8 @@ class ColumnarBatch:
         self.last_stable_offset = last_stable_offset
         self.topic = topic
         self.partition = partition
+        self.fetched_at: Optional[float] = None
+        self._records: Optional[List[Record]] = None
         self._keys: Optional[List[Any]] = None
         self._values: Optional[List[Any]] = None
         self._timestamps: Optional[List[float]] = None
@@ -169,22 +174,21 @@ class ColumnarBatch:
                 bitmap[i] = 1
         return bitmap
 
-    # -- lazy scalar views ------------------------------------------------------
+    # -- lazy scalar view ------------------------------------------------------
 
-    def iter_records(self) -> Iterator[Record]:
-        """Yield the valid records (materialize-on-demand scalar view)."""
-        backing = self.backing
-        for start, end in self.runs:
-            for record in backing[start:end]:
-                yield record
-
+    @property
     def records(self) -> List[Record]:
-        """The valid records as a list (scalar-fallback view)."""
-        if len(self.runs) == 1:
-            start, end = self.runs[0]
-            return self.backing[start:end]
-        backing = self.backing
-        return [r for s, e in self.runs for r in backing[s:e]]
+        """The valid records as a list (the scalar view), built once. The
+        ``Record`` objects are the log's own: treat them as read-only."""
+        if self._records is None:
+            runs = self.runs
+            if len(runs) == 1:
+                start, end = runs[0]
+                self._records = self.backing[start:end]
+            else:
+                backing = self.backing
+                self._records = [r for s, e in runs for r in backing[s:e]]
+        return self._records
 
     def __repr__(self) -> str:
         return (

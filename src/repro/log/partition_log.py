@@ -397,108 +397,6 @@ class PartitionLog:
             )
         return offset
 
-    def replicate_from(self, records: List[Record]) -> None:
-        """Follower path: copy already-offset-stamped records verbatim,
-        reconstructing producer/transaction state from their metadata.
-
-        The backing record and offset lists grow by C-level extension (the
-        offsets of a valid replication slice are exactly the next ``n``
-        integers, validated up front), and the producer/transaction
-        metadata walk advances run-at-a-time: a replication slice is a
-        concatenation of leader batches, so consecutive data records from
-        one producer with contiguous sequences collapse into a single
-        offset-range extension and one batch-metadata merge."""
-        if not records:
-            return
-        next_offset = self._next_offset
-        n = len(records)
-        offsets = [record.offset for record in records]
-        if offsets != list(range(next_offset, next_offset + n)):
-            for i, offset in enumerate(offsets):
-                if offset != next_offset + i:
-                    raise ValueError(
-                        f"{self.name}: replication gap, expected offset "
-                        f"{next_offset + i}, got {offset}"
-                    )
-        self._records.extend(records)
-        self._offsets.extend(offsets)
-        self._next_offset = next_offset + n
-        open_txns = self._open_txns
-        producers = self._producers
-        i = 0
-        while i < n:
-            record = records[i]
-            pid = record.producer_id
-            if record.is_control:
-                self._control_offsets.append(record.offset)
-                first = open_txns.pop(pid, None)
-                if record.control_type == ABORT_MARKER and first is not None:
-                    self._index_aborted(AbortedTxn(pid, first, record.offset - 1))
-                i += 1
-                continue
-            if pid == NO_PRODUCER_ID:
-                i += 1
-                continue
-            # Extend the run: same producer (and epoch), non-control, with
-            # sequences advancing in lockstep with offsets — i.e. exactly
-            # what one leader batch (or adjacent batches of one producer)
-            # replicates as.
-            sequence = record.sequence
-            epoch = record.producer_epoch
-            j = i + 1
-            while j < n:
-                peer = records[j]
-                if (
-                    peer.is_control
-                    or peer.producer_id != pid
-                    or peer.producer_epoch != epoch
-                    or peer.is_transactional != record.is_transactional
-                    or peer.sequence
-                    != (
-                        sequence + (j - i)
-                        if sequence != NO_SEQUENCE
-                        else NO_SEQUENCE
-                    )
-                ):
-                    break
-                j += 1
-            run_len = j - i
-            first_offset = record.offset
-            self._pid_offsets.setdefault(pid, []).extend(
-                range(first_offset, first_offset + run_len)
-            )
-            state = producers.get(pid)
-            if state is None or epoch > state.epoch:
-                state = _ProducerIdState(epoch)
-                producers[pid] = state
-            if sequence != NO_SEQUENCE:
-                # Merge contiguous (sequence AND offset) runs into one
-                # batch-metadata entry. Batches append atomically on the
-                # leader, so a batch is always offset-contiguous; keeping
-                # runs merged lets this replica — should it be elected
-                # leader — recognise a producer's post-failover retry as a
-                # duplicate instead of an out-of-order send.
-                last = state.batches[-1] if state.batches else None
-                if (
-                    last is not None
-                    and last.last_sequence + 1 == sequence
-                    and last.last_offset + 1 == first_offset
-                ):
-                    last.last_sequence = sequence + run_len - 1
-                    last.last_offset = first_offset + run_len - 1
-                else:
-                    state.batches.append(
-                        _BatchMeta(
-                            sequence,
-                            sequence + run_len - 1,
-                            first_offset,
-                            first_offset + run_len - 1,
-                        )
-                    )
-            if record.is_transactional and pid not in open_txns:
-                open_txns[pid] = first_offset
-            i = j
-
     def replicate_mirror(self, source: "PartitionLog") -> None:
         """Follower fetch against a live leader log: copy the missing
         record suffix by slice and *mirror* the leader's index state
@@ -604,19 +502,20 @@ class PartitionLog:
         up_to_offset: Optional[int] = None,
         filter_aborted: bool = False,
     ) -> ColumnarBatch:
-        """Columnar twin of :meth:`read` with fetch filtering built in.
+        """:meth:`read` with fetch filtering built in — the body of every
+        fetch.
 
         Returns a :class:`ColumnarBatch` whose validity runs cover exactly
-        the records a scalar fetch would return: control markers are always
-        masked, and with ``filter_aborted`` the aborted spans of the PR 1
+        the records the fetch returns: control markers are always masked,
+        and with ``filter_aborted`` the spans of the aborted-transaction
         interval index are masked too. No per-record work happens here —
         the skipped positions are found by bisecting the control-offset and
         per-producer offset lists, so the cost is O(skips · log n) plus one
         C-level slice of the backing list.
 
-        ``next_offset`` follows scalar-fetch semantics: it advances past
-        every *scanned* position (including masked ones), and scanning
-        stops as soon as ``max_records`` valid records are found.
+        ``next_offset`` advances past every *scanned* position (including
+        masked ones), and scanning stops as soon as ``max_records`` valid
+        records are found.
         """
         if from_offset < self.log_start_offset or from_offset > self._next_offset:
             raise OffsetOutOfRangeError(
@@ -632,7 +531,7 @@ class PartitionLog:
         if hard_end <= start or max_records <= 0:
             return ColumnarBatch([], [], from_offset, hw, lso)
 
-        # Offsets inside the window that a scalar fetch would skip. The
+        # Offsets inside the window that the fetch skips. The
         # harvest is bounded to the prefix the budget can actually consume:
         # start from a fully-valid window of ``max_records`` positions and
         # grow it geometrically while masked positions eat into the budget,

@@ -92,18 +92,6 @@ class Processor:
         """Hook invoked when the owning task closes."""
 
 
-class ForwardingProcessor(Processor):
-    """Convenience base for stateless one-in-N-out processors built from a
-    function returning zero or more output records."""
-
-    def __init__(self, fn: Callable[[StreamRecord], List[StreamRecord]]):
-        self._fn = fn
-
-    def process(self, record: StreamRecord) -> None:
-        for out in self._fn(record):
-            self.context.forward(out)
-
-
 class FusedStatelessProcessor(Processor):
     """The DSL's stateless operators (filter / map / flatMap / selectKey /
     peek and friends) as one processor with both execution modes.

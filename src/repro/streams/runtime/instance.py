@@ -76,10 +76,6 @@ class StreamsInstance:
             isolation = READ_COMMITTED
         else:
             isolation = READ_UNCOMMITTED
-        # Columnar batch execution: poll ColumnarBatches and push column
-        # chunks through batch-capable tasks. Speculative mode needs
-        # per-record transaction-dependency tracking, so it stays scalar.
-        self._batch_mode = self.config.batch_execution and not self.config.speculative
         self.consumer = Consumer(
             self.cluster,
             ConsumerConfig(
@@ -259,19 +255,13 @@ class StreamsInstance:
         try:
             for global_store in self.global_state.values():
                 global_store.update()
-            if self._batch_mode:
-                batches = self.consumer.poll_batches()
-            else:
-                records = self.consumer.poll()
+            batches = self.consumer.poll_batches()
             if self.consumer.take_partitions_lost():
                 # We were kicked from the group (zombie scenario): nothing
                 # processed since the last commit may survive.
                 raise TaskMigratedError("partitions lost: member was kicked")
             self._sync_tasks()
-            if self._batch_mode:
-                self._route_batches(batches)
-            else:
-                self._route(records)
+            self._route_batches(batches)
             restored = self._drive_restores()
             if self._tracer.enabled:
                 # Post-route queue depths, one labeled gauge per task; the
@@ -287,15 +277,14 @@ class StreamsInstance:
             # finely, as in the real stream thread's loop, so a task with a
             # deep buffer does not starve others (and does not flood
             # repartition topics with long out-of-order timestamp runs).
-            # In batch mode the unit of interleaving is one column chunk
-            # per task per round instead — commit boundaries land on chunk
-            # boundaries, with identical committed output.
-            batch_mode = self._batch_mode
+            # Batch-capable tasks (batch_execution) interleave by one
+            # column chunk per round instead — commit boundaries land on
+            # chunk boundaries, with identical committed output.
             processed = 0
             while True:
                 round_count = 0
                 for task in self.tasks.values():
-                    if batch_mode and task.batch_capable:
+                    if task.batch_capable:
                         round_count += task.process_next_chunk()
                     else:
                         round_count += task.process_batch(1)
@@ -374,7 +363,7 @@ class StreamsInstance:
             # now could adopt the offsets of the commit *before* it.
             # Pause the new partitions and retry on a later poll — the
             # KIP-447 UNSTABLE_OFFSET_COMMIT backoff. (Anything already
-            # fetched for them is dropped by _route; the seek below
+            # fetched for them is dropped by _route_batches; the seek below
             # re-fetches it once the task exists.)
             for task_id in to_create:
                 for tp in assigned_tasks[task_id]:
@@ -419,6 +408,7 @@ class StreamsInstance:
                     name: gs.store for name, gs in self.global_state.items()
                 },
                 track_speculation=self.config.speculative,
+                batch_execution=self.config.batch_execution,
                 restore_listener=self._notify_restore,
                 store_listeners=self.app.store_listeners,
                 restore_budget_per_poll=self.config.restore_max_records_per_poll,
@@ -555,23 +545,12 @@ class StreamsInstance:
                 from_offset,
             )
 
-    def _route(self, records) -> None:
-        by_tp: Dict[TopicPartition, list] = {}
-        for record in records:
-            tp = TopicPartition(record.headers["__topic"], record.headers["__partition"])
-            by_tp.setdefault(tp, []).append(record)
-        for tp, batch in by_tp.items():
-            task_id = self.app.assignor.task_for(tp)
-            task = self.tasks.get(task_id)
-            if task is not None:
-                task.add_records(tp, batch)
-
     def _route_batches(self, batches) -> None:
         """Hand fetched ColumnarBatches to their tasks — already grouped
         per partition by the fetch, so routing is per batch, not per
-        record. Batches for partitions without a live task are dropped,
-        like scalar records; task creation seeks back to the committed
-        offset, so nothing is lost."""
+        record. Batches for partitions without a live task are dropped;
+        task creation seeks back to the committed offset, so nothing is
+        lost."""
         for batch in batches:
             tp = TopicPartition(batch.topic, batch.partition)
             task = self.tasks.get(self.app.assignor.task_for(tp))

@@ -17,8 +17,12 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.broker.partition import TopicPartition
 from repro.errors import RetriableError, TopologyError
-from repro.log.record import Record
-from repro.obs.stages import EMITTED_AT_HEADER, PROCESSED_AT_HEADER
+from repro.log.columnar import ColumnarBatch
+from repro.obs.stages import (
+    EMITTED_AT_HEADER,
+    FETCHED_AT_HEADER,
+    PROCESSED_AT_HEADER,
+)
 from repro.obs.tracer import TRACE_ID_HEADER
 from repro.streams.processor import (
     PUNCTUATION_STREAM_TIME,
@@ -63,6 +67,7 @@ class StreamTask:
         standby_state: Optional[Dict[str, Any]] = None,
         global_stores: Optional[Dict[str, Any]] = None,
         track_speculation: bool = False,
+        batch_execution: bool = False,
         restore_listener: Optional[Callable] = None,
         store_listeners: Optional[Dict[str, List[Callable]]] = None,
         restore_budget_per_poll: int = 0,
@@ -149,13 +154,15 @@ class StreamTask:
         self._punctuations: List[Any] = []
         self._processors: Dict[str, Processor] = {}
         self._build_processors()
-        # Columnar eligibility is all-or-nothing per task: every processor
-        # must take whole chunks, no punctuator may need per-record stream
-        # time, and speculation tracking needs per-record producer ids.
-        # Decided once, after processors initialized (a caching aggregate
-        # only knows its capability post-init).
+        # Columnar eligibility is all-or-nothing per task: batch execution
+        # must be on, every processor must take whole chunks, no punctuator
+        # may need per-record stream time, and speculation tracking needs
+        # per-record producer ids. Decided once, after processors
+        # initialized (a caching aggregate only knows its capability
+        # post-init).
         self.batch_capable = (
-            not self._track_speculation
+            batch_execution
+            and not self._track_speculation
             and not self._punctuations
             and all(p.batch_aware for p in self._processors.values())
         )
@@ -371,41 +378,16 @@ class StreamTask:
 
     # -- record intake -------------------------------------------------------------------
 
-    def add_records(self, tp: TopicPartition, records: List[Record]) -> None:
-        if self._track_speculation:
-            for r in records:
-                if r.is_transactional and r.producer_id >= 0:
-                    span = self.speculative_deps.setdefault(
-                        (tp, r.producer_id), [r.offset, r.offset]
-                    )
-                    span[0] = min(span[0], r.offset)
-                    span[1] = max(span[1], r.offset)
-        topic = tp.topic
-        partition = tp.partition
-        stream_records = [
-            StreamRecord(
-                key=r.key,
-                value=r.value,
-                timestamp=r.timestamp,
-                # Copy only when there is something to copy — an empty
-                # headers dict is never shared with the log's record.
-                headers=dict(r.headers) if r.headers else {},
-                offset=r.offset,
-                topic=topic,
-                partition=partition,
-            )
-            for r in records
-        ]
-        self._queues.add_records(tp, stream_records)
-
-    def add_batch(self, tp: TopicPartition, batch) -> None:
-        """Intake a :class:`~repro.log.columnar.ColumnarBatch`.
+    def add_batch(self, tp: TopicPartition, batch: ColumnarBatch) -> None:
+        """Intake a fetched :class:`~repro.log.columnar.ColumnarBatch`.
 
         On the fast path the batch's columns are enqueued as-is (plus the
-        ``__topic`` / ``__partition`` routing headers the scalar consumer
-        injects, merged per record — the only per-record allocation).
-        Non-batch-capable tasks materialize scalar records instead, so a
-        mixed topology runs each task in its best mode.
+        ``__topic`` / ``__partition`` routing headers, merged per record —
+        the only per-record allocation). Tasks that are not batch-capable
+        (every task when ``batch_execution`` is off) enqueue scalar
+        records instead, stamped with ``__t_fetched`` when the batch
+        carries a fetch time, so a mixed topology runs each task in its
+        best mode.
         """
         count = batch.valid_count
         if count == 0:
@@ -414,23 +396,34 @@ class StreamTask:
         partition = tp.partition
         if not self.batch_capable:
             self._batch_fallback.increment(count)
-            stream_records = [
-                StreamRecord(
-                    key=r.key,
-                    value=r.value,
-                    timestamp=r.timestamp,
-                    headers={
-                        **r.headers,
-                        "__topic": topic,
-                        "__partition": partition,
-                    },
-                    offset=r.offset,
-                    topic=topic,
-                    partition=partition,
-                )
-                for r in batch.iter_records()
-            ]
-            self._queues.add_records(tp, stream_records)
+            records = batch.records
+            if self._track_speculation:
+                deps = self.speculative_deps
+                for r in records:
+                    if r.is_transactional and r.producer_id >= 0:
+                        span = deps.setdefault(
+                            (tp, r.producer_id), [r.offset, r.offset]
+                        )
+                        span[0] = min(span[0], r.offset)
+                        span[1] = max(span[1], r.offset)
+            extra: Dict[str, Any] = {"__topic": topic, "__partition": partition}
+            if batch.fetched_at is not None:
+                extra[FETCHED_AT_HEADER] = batch.fetched_at
+            self._queues.add_records(
+                tp,
+                [
+                    StreamRecord(
+                        key=r.key,
+                        value=r.value,
+                        timestamp=r.timestamp,
+                        headers={**r.headers, **extra},
+                        offset=r.offset,
+                        topic=topic,
+                        partition=partition,
+                    )
+                    for r in records
+                ],
+            )
             return
         self._batch_fastpath.increment(count)
         headers = [

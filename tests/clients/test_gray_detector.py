@@ -6,9 +6,12 @@ from repro.broker.cluster import Cluster
 from repro.clients.consumer import Consumer
 from repro.clients.gray import GrayFailureDetector
 from repro.clients.producer import Producer
-from repro.config import ConsumerConfig
+from repro.config import EXACTLY_ONCE, ConsumerConfig, StreamsConfig
 from repro.errors import BrokerUnavailableError
 from repro.sim.clock import SimClock
+from repro.sim.failures import FailureInjector
+from repro.sim.invariants import committed_records
+from repro.streams import KafkaStreams, StreamsBuilder
 
 
 @pytest.fixture
@@ -144,6 +147,55 @@ class TestHedgedFetch:
         consumer.subscribe(["t"])
         assert len(consumer.poll(max_records=100)) == 10
         assert consumer.hedged_fetches == 0
+
+    def test_batch_execution_hedges_gray_leader(self):
+        """Batch execution fetches through the same hedged path: a slow
+        leader gets demoted, fetches go to an in-sync follower, and the
+        committed output still equals the fault-free run."""
+
+        def run(gray):
+            cluster = Cluster(num_brokers=3, seed=5)   # latency charged
+            cluster.create_topic("in", 1)
+            cluster.create_topic("out", 1)
+            builder = StreamsBuilder()
+            (
+                builder.stream("in")
+                .group_by_key()
+                .count(store_name="counts")
+                .to_stream()
+                .to("out")
+            )
+            app = KafkaStreams(
+                builder.build(),
+                cluster,
+                StreamsConfig(
+                    application_id="hedge-app",
+                    processing_guarantee=EXACTLY_ONCE,
+                    commit_interval_ms=20.0,
+                    batch_execution=True,
+                    hedged_fetch=True,
+                ),
+            )
+            app.start(1)
+            if gray:
+                FailureInjector(cluster).slow_broker(
+                    cluster.leader_of(("in", 0)), delay_ms=8.0,
+                    duration_ms=1_000.0,
+                )
+            producer = Producer(cluster)
+            for i in range(40):
+                producer.send("in", key=f"k{i % 4}", value=i)
+                producer.flush()
+                app.run_for(10.0)
+            app.run_until_idle()
+            consumer = app.instances[0].consumer
+            return cluster, consumer, committed_records(cluster, ["out"])
+
+        _, _, golden = run(gray=False)
+        cluster, consumer, output = run(gray=True)
+        assert consumer.hedged_fetches > 0
+        assert cluster.metrics.counter("broker.follower_reads").value > 0
+        assert golden["out"] and output == golden
 
 
 class TestCoordinatorRetryBackoff:

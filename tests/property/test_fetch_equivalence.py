@@ -1,17 +1,21 @@
 """The indexed fetch path must be observably identical to a naive scan.
 
-The optimised ``fetch()`` bounds its log reads with bisect and filters
-aborted data through the per-producer interval index. These properties pit
-it against a straight-line reference implementation — full-tail read plus a
-linear scan of the aborted-transaction list — over randomly interleaved
+``fetch()`` bounds its log read with bisect and masks control markers and
+aborted data as validity runs over a log slice, found through the
+per-producer interval index. These properties pit it against a
+straight-line reference implementation — full-tail read plus a linear
+scan of the aborted-transaction list — over randomly interleaved
 open/committed/aborted transactions, control markers, and plain
 (non-transactional) records, across all three isolation levels and
 arbitrary ``from_offset`` / ``max_records`` combinations.
 """
 
+from dataclasses import dataclass, field
+from typing import List
+
 from hypothesis import given, settings, strategies as st
 
-from repro.broker.fetch import FetchResult, fetch, fetch_columnar
+from repro.broker.fetch import fetch
 from repro.config import READ_COMMITTED, READ_SPECULATIVE, READ_UNCOMMITTED
 from repro.log.partition_log import PartitionLog
 from repro.log.record import (
@@ -27,12 +31,23 @@ ISOLATION_LEVELS = (READ_UNCOMMITTED, READ_COMMITTED, READ_SPECULATIVE)
 PIDS = (1, 2, 3)
 
 
+@dataclass
+class ReferenceResult:
+    """What the reference scan returns: the visible records, the position
+    to resume from, and the watermarks at fetch time."""
+
+    records: List[Record] = field(default_factory=list)
+    next_offset: int = 0
+    high_watermark: int = 0
+    last_stable_offset: int = 0
+
+
 def reference_fetch(
     log: PartitionLog,
     from_offset: int,
     max_records: int,
     isolation_level: str,
-) -> FetchResult:
+) -> ReferenceResult:
     """The pre-index fetch semantics, spelled out naively: scan the whole
     visible tail record by record and test aborted membership by a linear
     walk over every aborted span."""
@@ -41,7 +56,7 @@ def reference_fetch(
     else:
         limit = log.high_watermark
     from_offset = max(from_offset, log.log_start_offset)
-    result = FetchResult(
+    result = ReferenceResult(
         next_offset=from_offset,
         high_watermark=log.high_watermark,
         last_stable_offset=log.last_stable_offset,
@@ -136,37 +151,19 @@ def build_log(steps) -> PartitionLog:
 )
 @settings(max_examples=120, deadline=None)
 def test_fetch_matches_reference_scan(steps, from_offset, max_records):
-    """fetch() returns the same records and the same next_offset as the
-    naive reference, for every isolation level and any window."""
+    """fetch() returns the same records (its ``records`` view), the same
+    next_offset and the same watermarks as the naive reference, for every
+    isolation level and any window."""
     log = build_log(steps)
     from_offset = min(from_offset, log.log_end_offset)
     for isolation in ISOLATION_LEVELS:
         got = fetch(log, from_offset, max_records, isolation)
         want = reference_fetch(log, from_offset, max_records, isolation)
         assert got.records == want.records, isolation
+        assert got.records is got.records, "records view is cached"
         assert got.next_offset == want.next_offset, isolation
         assert got.high_watermark == want.high_watermark
         assert got.last_stable_offset == want.last_stable_offset
-
-
-@given(log_scripts(), st.integers(min_value=1, max_value=7))
-@settings(max_examples=80, deadline=None)
-def test_paged_fetch_equals_one_shot_fetch(steps, page_size):
-    """Repeatedly fetching ``page_size`` records and chaining next_offset
-    yields exactly the records (and final position) of one unbounded fetch."""
-    log = build_log(steps)
-    for isolation in ISOLATION_LEVELS:
-        whole = fetch(log, 0, 10**9, isolation)
-        paged = []
-        position = 0
-        while True:
-            result = fetch(log, position, page_size, isolation)
-            paged.extend(result.records)
-            if result.next_offset == position:
-                break
-            position = result.next_offset
-        assert paged == whole.records, isolation
-        assert position == whole.next_offset, isolation
 
 
 @given(
@@ -176,48 +173,76 @@ def test_paged_fetch_equals_one_shot_fetch(steps, page_size):
 )
 @settings(max_examples=120, deadline=None)
 def test_columnar_fetch_matches_scalar_fetch(steps, from_offset, max_records):
-    """fetch_columnar() — validity runs over a log slice — must agree with
-    the record-by-record scalar fetch on every observable: the materialized
-    records, every column accessor, the resume position, and the
-    watermarks. Run masking and per-record scanning are two encodings of
-    one visibility rule."""
+    """Every column accessor of the fetched batch — validity runs over a
+    log slice — agrees with the record-by-record reference scan, as do the
+    valid count and the validity bitmap."""
     log = build_log(steps)
     from_offset = min(from_offset, log.log_end_offset)
     for isolation in ISOLATION_LEVELS:
-        want = fetch(log, from_offset, max_records, isolation)
-        got = fetch_columnar(log, from_offset, max_records, isolation)
-        assert got.records() == want.records, isolation
-        assert got.next_offset == want.next_offset, isolation
-        assert got.high_watermark == want.high_watermark
-        assert got.last_stable_offset == want.last_stable_offset
-        assert got.valid_count == len(want.records)
-        assert got.keys() == [r.key for r in want.records]
-        assert got.values() == [r.value for r in want.records]
-        assert got.timestamps() == [r.timestamp for r in want.records]
-        assert got.offsets() == [r.offset for r in want.records]
-        assert got.headers() == [r.headers for r in want.records]
-        assert list(got.iter_records()) == want.records
+        got = fetch(log, from_offset, max_records, isolation)
+        want = reference_fetch(log, from_offset, max_records, isolation).records
+        assert got.valid_count == len(want), isolation
+        assert got.keys() == [r.key for r in want]
+        assert got.values() == [r.value for r in want]
+        assert got.timestamps() == [r.timestamp for r in want]
+        assert got.offsets() == [r.offset for r in want]
+        assert got.headers() == [r.headers for r in want]
+        assert got.producer_ids() == [r.producer_id for r in want]
         assert sum(got.validity_bitmap()) == got.valid_count
 
 
 @given(log_scripts(), st.integers(min_value=1, max_value=7))
 @settings(max_examples=80, deadline=None)
-def test_paged_columnar_fetch_equals_one_shot(steps, page_size):
-    """Chaining next_offset across bounded columnar fetches walks exactly
-    the records of one unbounded columnar fetch — budget clamping never
-    loses or duplicates a record at a page boundary."""
+def test_paged_fetch_equals_one_shot_fetch(steps, page_size):
+    """Repeatedly fetching ``page_size`` records and chaining next_offset
+    yields exactly the records (and final position) of one unbounded fetch
+    — budget clamping never loses or duplicates a record at a page
+    boundary — and the one-shot fetch itself matches the reference."""
     log = build_log(steps)
     for isolation in ISOLATION_LEVELS:
-        whole = fetch_columnar(log, 0, 10**9, isolation)
+        whole = fetch(log, 0, 10**9, isolation)
+        want = reference_fetch(log, 0, 10**9, isolation)
+        assert whole.records == want.records, isolation
+        assert whole.next_offset == want.next_offset, isolation
         paged = []
         position = 0
         while True:
-            batch = fetch_columnar(log, position, page_size, isolation)
-            paged.extend(batch.records())
+            batch = fetch(log, position, page_size, isolation)
+            assert len(batch.records) <= page_size
+            paged.extend(batch.records)
             if batch.next_offset == position:
                 break
             position = batch.next_offset
-        assert paged == whole.records(), isolation
+        assert paged == whole.records, isolation
+        assert position == whole.next_offset, isolation
+
+
+@given(log_scripts(), st.integers(min_value=1, max_value=7))
+@settings(max_examples=80, deadline=None)
+def test_paged_columnar_fetch_equals_one_shot(steps, page_size):
+    """Chaining next_offset across bounded fetches and concatenating their
+    column accessors gives exactly the columns of one unbounded fetch —
+    budget clamping never loses or duplicates a column entry at a page
+    boundary."""
+    log = build_log(steps)
+    for isolation in ISOLATION_LEVELS:
+        whole = fetch(log, 0, 10**9, isolation)
+        offsets, keys, values, valid = [], [], [], 0
+        position = 0
+        while True:
+            batch = fetch(log, position, page_size, isolation)
+            assert batch.valid_count <= page_size
+            offsets.extend(batch.offsets())
+            keys.extend(batch.keys())
+            values.extend(batch.values())
+            valid += batch.valid_count
+            if batch.next_offset == position:
+                break
+            position = batch.next_offset
+        assert offsets == whole.offsets(), isolation
+        assert keys == whole.keys(), isolation
+        assert values == whole.values(), isolation
+        assert valid == whole.valid_count, isolation
         assert position == whole.next_offset, isolation
 
 
