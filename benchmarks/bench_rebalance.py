@@ -75,8 +75,15 @@ def run_one(protocol):
     )
     app.start(2)
     state_records = max(200, int(STATE_RECORDS * bench_scale()))
-    cursor = _produce(cluster, 0, state_records)
-    app.run_until_idle(max_steps=50_000)
+    # Build the state one record per key per processed round: the count
+    # writes one changelog record per key per processed chunk, so the
+    # changelog holds state_records entries in either execution mode.
+    cursor = 0
+    while cursor < state_records:
+        cursor = _produce(
+            cluster, cursor, min(KEY_SPACE, state_records - cursor)
+        )
+        app.run_until_idle(max_steps=50_000)
 
     # Rolling restart: retire one instance, let the group re-absorb its
     # tasks, then bring a replacement in — twice — with records flowing

@@ -220,11 +220,10 @@ class PartitionState:
             # The follower diverged (e.g. it briefly led with unacked
             # appends); truncate to the leader.
             follower.truncate_to(leader_log.log_end_offset)
-        if follower.log_end_offset < leader_log.log_end_offset:
-            # Mirror the leader's records and index state by slice — the
-            # follower is a prefix of the leader at this point (truncated/
-            # reset above), so no per-record metadata walk is needed.
-            follower.replicate_mirror(leader_log)
+        # Mirror the leader's records and index state by slice — the
+        # follower is a prefix of the leader at this point (truncated/
+        # reset above), so no per-record metadata walk is needed.
+        follower.replicate_mirror(leader_log)
         follower.high_watermark = leader_log.high_watermark
         follower.log_start_offset = leader_log.log_start_offset
 

@@ -246,21 +246,14 @@ class Consumer:
             }
             if batch.fetched_at is not None:
                 extra[FETCHED_AT_HEADER] = batch.fetched_at
-            # Direct construction — dataclasses.replace costs ~3x as much
-            # on this per-record path.
+            # Positional construction, as in PartitionLog._do_append: the
+            # keyword form (and dataclasses.replace, ~3x worse) measurably
+            # slows this per-record path.
             out.extend(
                 Record(
-                    key=r.key,
-                    value=r.value,
-                    timestamp=r.timestamp,
-                    headers={**r.headers, **extra},
-                    offset=r.offset,
-                    producer_id=r.producer_id,
-                    producer_epoch=r.producer_epoch,
-                    sequence=r.sequence,
-                    is_transactional=r.is_transactional,
-                    is_control=r.is_control,
-                    control_type=r.control_type,
+                    r.key, r.value, r.timestamp, {**r.headers, **extra},
+                    r.offset, r.producer_id, r.producer_epoch, r.sequence,
+                    r.is_transactional, r.is_control, r.control_type,
                 )
                 for r in batch.records
             )

@@ -206,15 +206,17 @@ class StreamsConfig:
     # Virtual-time interval between probing rebalances while any warmup
     # standby is still catching up.
     probing_rebalance_interval_ms: float = 1_000.0
-    # Columnar batch execution: tasks whose processors are all batch-aware
-    # push the fetched ColumnarBatches through the fused processor graph
-    # as whole column chunks, materializing no per-record objects on the
-    # hot path. Committed output is byte-identical to the scalar path;
-    # tasks with punctuators or non-batch-aware processors fall back to
-    # scalar processing automatically. Ignored (scalar) when
-    # ``speculative`` is set — speculation needs per-record dependency
-    # tracking.
-    batch_execution: bool = False
+    # Columnar batch execution (the default): tasks whose processors are
+    # all batch-aware push the fetched ColumnarBatches through the fused
+    # processor graph as whole column chunks, materializing no per-record
+    # objects on the hot path. Committed output topics are byte-identical
+    # to the scalar path (changelogs get one record per key per chunk);
+    # tasks with punctuators, caching aggregates or non-batch-aware
+    # processors fall back to scalar processing automatically, as does
+    # every task when ``speculative`` is set — speculation needs
+    # per-record dependency tracking. False runs every task scalar: the
+    # reference mode the batch-equivalence checks compare against.
+    batch_execution: bool = True
     # Restore throttling: >0 caps how many changelog records one instance
     # replays per poll cycle, spread across its restoring tasks
     # (smallest-lag-first), so a mass restore after instance loss cannot

@@ -63,8 +63,11 @@ class AppendResult:
     duplicate: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _BatchMeta:
+    """Offsets and sequences of one appended batch. Immutable, so follower
+    producer states mirrored from a leader can share entries by reference."""
+
     base_sequence: int
     last_sequence: int
     base_offset: int
@@ -406,14 +409,26 @@ class PartitionLog:
         :meth:`repro.broker.partition.Partition._sync_follower` guarantees
         by truncating or resetting first) and the sync runs to the
         leader's log end — afterwards both logs hold the same records, so
-        every index must equal the leader's:
+        every index must equal the leader's. A follower that is already
+        at the leader's end copies no records but still mirrors the
+        producer and transaction state, which a divergence truncation or
+        a reset may have left stale:
 
         * record/offset/control/producer-offset lists grow by bisected
           slice extension (follower lists never hold offsets >= its log
           end — ``truncate_to``/``reset_to`` maintain that);
         * producer sequence state and open transactions are snapshots of
           the leader's (which also heals state left stale by a divergence
-          truncation, where the record walk could only append);
+          truncation, where the record walk could only append). A
+          producer's state is kept from the previous sync when its epoch,
+          deque length and newest entry (by identity) still match the
+          leader's: a deque changes only by appending a fresh entry or by
+          an epoch-bump clear, so the match means equal contents. A new
+          leader append, an epoch bump, a reset, or entries this log
+          appended itself while leading all fail the match and take a
+          fresh snapshot. Snapshots share the frozen ``_BatchMeta``
+          entries but never a deque, so an append on either side leaves
+          the other intact;
         * aborted spans whose markers sit in the copied suffix are pushed
           through :meth:`_index_aborted` in leader order (``_aborted`` is
           sorted by ``last_offset`` — each abort marker at offset ``m``
@@ -421,39 +436,43 @@ class PartitionLog:
           order).
         """
         start = self._next_offset
-        if start >= source._next_offset:
+        if start > source._next_offset:
             return
         if start < source.log_start_offset:
             raise ValueError(
                 f"{self.name}: cannot mirror from offset {start}; source "
                 f"log starts at {source.log_start_offset}"
             )
-        idx = bisect.bisect_left(source._offsets, start)
-        self._records.extend(source._records[idx:])
-        self._offsets.extend(source._offsets[idx:])
-        self._next_offset = source._next_offset
+        if start < source._next_offset:
+            idx = bisect.bisect_left(source._offsets, start)
+            self._records.extend(source._records[idx:])
+            self._offsets.extend(source._offsets[idx:])
+            self._next_offset = source._next_offset
 
-        controls = source._control_offsets
-        self._control_offsets.extend(
-            controls[bisect.bisect_left(controls, start):]
-        )
-        for pid, offs in source._pid_offsets.items():
-            tail = offs[bisect.bisect_left(offs, start):]
-            if tail:
-                self._pid_offsets.setdefault(pid, []).extend(tail)
+            controls = source._control_offsets
+            self._control_offsets.extend(
+                controls[bisect.bisect_left(controls, start):]
+            )
+            for pid, offs in source._pid_offsets.items():
+                tail = offs[bisect.bisect_left(offs, start):]
+                if tail:
+                    self._pid_offsets.setdefault(pid, []).extend(tail)
 
         self._open_txns = dict(source._open_txns)
+        mine = self._producers
         producers: Dict[int, _ProducerIdState] = {}
         for pid, state in source._producers.items():
-            mirrored = _ProducerIdState(state.epoch)
-            mirrored.batches.extend(
-                _BatchMeta(
-                    m.base_sequence, m.last_sequence,
-                    m.base_offset, m.last_offset,
-                )
-                for m in state.batches
-            )
-            producers[pid] = mirrored
+            kept = mine.get(pid)
+            batches = state.batches
+            if (
+                kept is None
+                or kept.epoch != state.epoch
+                or len(kept.batches) != len(batches)
+                or (batches and kept.batches[-1] is not batches[-1])
+            ):
+                kept = _ProducerIdState(state.epoch)
+                kept.batches.extend(batches)
+            producers[pid] = kept
         self._producers = producers
 
         # Spans indexed by markers in [start, end) end at >= start - 1;

@@ -31,10 +31,7 @@ class LatencyTracker:
     def record_batch_output(self, headers_list, received_at_ms: float) -> int:
         """Columnar twin of :meth:`record_output`: observe the latency of
         every header dict carrying a creation stamp in one histogram
-        extension. Returns how many observations were made. (Stage
-        decomposition needs per-record stamps, which the per-batch span
-        mode deliberately does not write, so subclasses inherit this
-        plain end-to-end accounting.)"""
+        extension. Returns how many observations were made."""
         latencies = [
             received_at_ms - created
             for headers in headers_list

@@ -64,20 +64,30 @@ class StageLatencyTracker(LatencyTracker):
 
     def record_output(self, record, received_at_ms: float) -> Optional[float]:
         latency = super().record_output(record, received_at_ms)
-        if latency is None:
-            return None
-        headers = record.headers
+        if latency is not None:
+            self._observe_stages(record.headers, received_at_ms)
+        return latency
+
+    def record_batch_output(self, headers_list, received_at_ms: float) -> int:
+        """Columnar twin of :meth:`record_output`: end-to-end latencies
+        for the whole header column, then the stage split per record."""
+        observed = super().record_batch_output(headers_list, received_at_ms)
+        for headers in headers_list:
+            if CREATED_AT_HEADER in headers:
+                self._observe_stages(headers, received_at_ms)
+        return observed
+
+    def _observe_stages(self, headers, received_at_ms: float) -> None:
         created = headers[CREATED_AT_HEADER]
         fetched = headers.get(FETCHED_AT_HEADER)
         processed = headers.get(PROCESSED_AT_HEADER)
         emitted = headers.get(EMITTED_AT_HEADER)
         if fetched is None or processed is None or emitted is None:
-            return latency            # un-stamped record (tracing was off)
+            return                    # un-stamped record (tracing was off)
         self.stage_histograms["produce"].observe(fetched - created)
         self.stage_histograms["queue"].observe(processed - fetched)
         self.stage_histograms["process"].observe(emitted - processed)
         self.stage_histograms["commit"].observe(received_at_ms - emitted)
-        return latency
 
     @property
     def stamped_count(self) -> int:

@@ -185,8 +185,12 @@ class StreamsInstance:
                 # A commit failure here means this member was fenced; let
                 # the error surface through poll() to the migration path.
                 self.commit()
+            # Every lost task is now fully committed, so its outage starts
+            # at this clean close — not at an older commit it merely sat
+            # idle behind.
+            now = self.cluster.clock.now
             for task_id in sorted(lost_tasks):
-                self.app.note_task_closed(task_id, self._last_commit_ms)
+                self.app.note_task_closed(task_id, now)
                 self.tasks.pop(task_id).close()
                 producer = self._task_producers.pop(task_id, None)
                 if producer is not None:

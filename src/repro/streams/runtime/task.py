@@ -67,7 +67,7 @@ class StreamTask:
         standby_state: Optional[Dict[str, Any]] = None,
         global_stores: Optional[Dict[str, Any]] = None,
         track_speculation: bool = False,
-        batch_execution: bool = False,
+        batch_execution: bool = True,
         restore_listener: Optional[Callable] = None,
         store_listeners: Optional[Dict[str, List[Callable]]] = None,
         restore_budget_per_poll: int = 0,
@@ -385,15 +385,18 @@ class StreamTask:
         ``__topic`` / ``__partition`` routing headers, merged per record —
         the only per-record allocation). Tasks that are not batch-capable
         (every task when ``batch_execution`` is off) enqueue scalar
-        records instead, stamped with ``__t_fetched`` when the batch
-        carries a fetch time, so a mixed topology runs each task in its
-        best mode.
+        records instead, so a mixed topology runs each task in its best
+        mode. Either way records are stamped with ``__t_fetched`` when the
+        batch carries a fetch time (traced runs).
         """
         count = batch.valid_count
         if count == 0:
             return
         topic = tp.topic
         partition = tp.partition
+        extra: Dict[str, Any] = {"__topic": topic, "__partition": partition}
+        if batch.fetched_at is not None:
+            extra[FETCHED_AT_HEADER] = batch.fetched_at
         if not self.batch_capable:
             self._batch_fallback.increment(count)
             records = batch.records
@@ -406,9 +409,6 @@ class StreamTask:
                         )
                         span[0] = min(span[0], r.offset)
                         span[1] = max(span[1], r.offset)
-            extra: Dict[str, Any] = {"__topic": topic, "__partition": partition}
-            if batch.fetched_at is not None:
-                extra[FETCHED_AT_HEADER] = batch.fetched_at
             self._queues.add_records(
                 tp,
                 [
@@ -426,10 +426,7 @@ class StreamTask:
             )
             return
         self._batch_fastpath.increment(count)
-        headers = [
-            {**h, "__topic": topic, "__partition": partition}
-            for h in batch.headers()
-        ]
+        headers = [{**h, **extra} for h in batch.headers()]
         self._queues.add_columns(
             tp,
             batch.keys(),
@@ -522,6 +519,11 @@ class StreamTask:
             children = self._source_children[tp.topic]
             self._children_by_tp[tp] = children
         if self._tracer.enabled:
+            # Stage stamps, once per chunk: the header dicts were built
+            # per record at intake, so stamping them in place is safe.
+            now = self.cluster.clock.now
+            for headers in chunk.headers:
+                headers[PROCESSED_AT_HEADER] = now
             with self._tracer.begin(
                 "task.process_chunk",
                 self._trace_pid,
@@ -564,10 +566,16 @@ class StreamTask:
         objects exist until the broker appends the slab to its log."""
         topic, num_partitions = self._sink_route(node)
         keys = chunk.keys
+        headers = chunk.headers
+        if self._tracer.enabled:
+            # Copies, as in _send_to_sink: processors may forward one input
+            # record's header dict more than once.
+            now = self.cluster.clock.now
+            headers = [{**h, EMITTED_AT_HEADER: now} for h in headers]
         partitioner = node.partitioner
         if num_partitions == 1 and partitioner is None:
             self.producer.send_columns(
-                topic, 0, keys, chunk.values, chunk.timestamps, chunk.headers
+                topic, 0, keys, chunk.values, chunk.timestamps, headers
             )
             return
         buckets: Dict[int, List[int]] = {}
@@ -592,7 +600,6 @@ class StreamTask:
                 ).append(i)
         values = chunk.values
         timestamps = chunk.timestamps
-        headers = chunk.headers
         for partition, idx in buckets.items():
             self.producer.send_columns(
                 topic,

@@ -96,6 +96,39 @@ class TestManualAssignment:
         assert record.headers["__topic"] == topic
         assert record.headers["__partition"] == 1
 
+    def test_poll_copies_every_record_field(self, fast_cluster, topic):
+        # Consumer.poll builds its copies positionally; every field must
+        # land in its own slot (producer metadata included).
+        from repro.config import ProducerConfig
+
+        p = Producer(fast_cluster, ProducerConfig(transactional_id="tid"))
+        p.init_transactions()
+        p.begin_transaction()
+        for v in range(3):
+            p.send(topic, key=f"k{v}", value=v, partition=0,
+                   timestamp=10.0 + v, headers={"h": v})
+        p.commit_transaction()
+        c = Consumer(fast_cluster, ConsumerConfig(isolation_level=READ_COMMITTED))
+        c.assign([TopicPartition(topic, 0)])
+        polled = c.poll()
+        log = fast_cluster.partition_state(TopicPartition(topic, 0)).leader_log()
+        stored = [r for r in log.records() if not r.is_control]
+        assert len(polled) == len(stored) == 3
+        for got, want in zip(polled, stored):
+            assert (
+                got.key, got.value, got.timestamp, got.offset,
+                got.producer_id, got.producer_epoch, got.sequence,
+                got.is_transactional, got.is_control, got.control_type,
+            ) == (
+                want.key, want.value, want.timestamp, want.offset,
+                want.producer_id, want.producer_epoch, want.sequence,
+                want.is_transactional, want.is_control, want.control_type,
+            )
+            assert got.headers == {
+                **want.headers, "__topic": topic, "__partition": 0
+            }
+        assert [r.sequence for r in polled] == [0, 1, 2]
+
     def test_end_offsets(self, fast_cluster, topic, producer):
         produce(producer, topic, 0, *range(4))
         c = Consumer(fast_cluster)

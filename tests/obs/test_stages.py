@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.broker.cluster import Cluster
+from repro.clients.consumer import Consumer
+from repro.config import READ_COMMITTED, ConsumerConfig, StreamsConfig
 from repro.log.record import Record
 from repro.metrics.latency import CREATED_AT_HEADER
 from repro.obs.stages import (
@@ -11,6 +14,8 @@ from repro.obs.stages import (
     STAGES,
     StageLatencyTracker,
 )
+from repro.streams import KafkaStreams, StreamsBuilder
+from repro.workloads.generator import WorkloadGenerator
 
 
 def stamped_record(created=0.0, fetched=4.0, processed=5.0, emitted=6.0):
@@ -78,3 +83,76 @@ class TestStageLatencyTracker:
             )
         # Per-record telescoping means the means telescope too.
         assert tracker.stage_sum_ms() == pytest.approx(tracker.mean_ms())
+
+
+class TestDefaultConfigTracedReduce:
+    """A traced reduce at the default config runs on the columnar fast
+    path, and its outputs must still carry every stage stamp."""
+
+    @staticmethod
+    def run_reduce():
+        cluster = Cluster(num_brokers=3, seed=11)
+        cluster.enable_tracing()
+        cluster.create_topic("in", 2)
+        cluster.create_topic("out", 3)
+        builder = StreamsBuilder()
+        (
+            builder.stream("in")
+            .group_by_key()
+            .reduce(lambda aggregate, value: aggregate + value)
+            .to_stream()
+            .to("out")
+        )
+        app = KafkaStreams(
+            builder.build(),
+            cluster,
+            StreamsConfig(application_id="traced", commit_interval_ms=20.0),
+        )
+        app.start(1)
+        generator = WorkloadGenerator(
+            cluster, "in", rate_per_sec=5_000.0, key_space=16,
+            value_fn=lambda rng, i: 1, seed=3,
+        )
+        for _ in range(10):
+            generator.produce_for(10.0)
+            app.run_until_idle()
+        app.run_until_idle()
+        cluster.clock.advance(50.0)
+        consumer = Consumer(
+            cluster, ConsumerConfig(isolation_level=READ_COMMITTED)
+        )
+        consumer.assign(cluster.partitions_for("out"))
+        return cluster, generator, consumer
+
+    def test_scalar_drain_sees_every_stage_stamp(self):
+        cluster, generator, consumer = self.run_reduce()
+        tracker = StageLatencyTracker()
+        outputs = 0
+        while records := consumer.poll(max_records=100_000):
+            for record in records:
+                tracker.record_output(record, cluster.clock.now)
+                outputs += 1
+        assert cluster.metrics.counter(
+            "streams.batch_fastpath_total"
+        ).value == generator.records_produced
+        assert outputs == generator.records_produced
+        assert tracker.stamped_count == outputs
+        assert tracker.stage_sum_ms() == pytest.approx(
+            tracker.mean_ms(), rel=0.01
+        )
+
+    def test_columnar_drain_sees_every_stage_stamp(self):
+        cluster, generator, consumer = self.run_reduce()
+        tracker = StageLatencyTracker()
+        outputs = 0
+        while batches := consumer.poll_batches(max_records=100_000):
+            for batch in batches:
+                outputs += tracker.record_batch_output(
+                    batch.headers(), cluster.clock.now
+                )
+        assert outputs == generator.records_produced
+        assert tracker.stamped_count == outputs
+        assert tracker.stage_sum_ms() == pytest.approx(
+            tracker.mean_ms(), rel=0.01
+        )
+        assert set(tracker.breakdown()) == set(STAGES)

@@ -146,6 +146,27 @@ class TestTwoPhaseHandover:
         )
         assert histogram.count > 0, "no unavailability window was measured"
 
+    def test_idle_task_outage_starts_at_its_close(self):
+        # A moved task that sat idle and fully committed stayed available
+        # until the handover closed it: its outage window must not reach
+        # back to its last commit.
+        cluster = make_cluster(**{"in": PARTITIONS, "out": PARTITIONS})
+        app = make_app(cluster)
+        app.start(1)
+        produce(cluster, 40)
+        app.run_until_idle()
+        idle_ms = 500.0
+        cluster.clock.advance(idle_ms)
+        app.add_instance()
+        produce(cluster, 40, start=40)
+        app.run_until_idle()
+        histogram = cluster.metrics.histogram(
+            "rebalance_unavailability_ms", app="coop"
+        )
+        assert histogram.count > 0
+        assert histogram.percentile(100) < idle_ms
+        assert latest_by_key(drain_topic(cluster, "out")) == expected_counts(80)
+
 
 class TestLagAwarePlacement:
     def test_warmup_then_probing_rebalance_migrates(self):

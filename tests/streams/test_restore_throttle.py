@@ -3,6 +3,7 @@
 import pytest
 
 from repro.broker.cluster import Cluster
+from repro.broker.partition import changelog_topic
 from repro.clients.producer import Producer
 from repro.config import StreamsConfig
 from repro.obs.recovery import RecoveryTracker
@@ -115,13 +116,33 @@ def produce(cluster, start, n, keys=6):
     producer.flush()
 
 
+def produce_in_rounds(cluster, app, start, n, keys=6):
+    """Produce one record per key per round and process each round before
+    the next. An aggregate writes one changelog record per key per
+    processed chunk, so this gives the changelog one record per input
+    whatever the execution mode."""
+    for round_start in range(start, start + n, keys):
+        produce(cluster, round_start, min(keys, start + n - round_start), keys)
+        app.run_until_idle(max_steps=50_000)
+
+
+def changelog_depths(cluster):
+    """Log end offset of each ``maxes`` changelog partition."""
+    topic = changelog_topic("throttle-app", "maxes")
+    return [
+        cluster.partition_state(tp).leader_log().log_end_offset
+        for tp in cluster.partitions_for(topic)
+    ]
+
+
 class TestThrottledMigration:
     def test_replacement_restores_in_bounded_rounds_while_survivor_processes(
         self,
     ):
         cluster, app = build_app(budget=7)
-        produce(cluster, 0, 120)
-        app.run_until_idle(max_steps=50_000)
+        produce_in_rounds(cluster, app, 0, 120)
+        # The premise: every changelog partition is several budgets deep.
+        assert min(changelog_depths(cluster)) >= 4 * 7
 
         victim = app.instances[0]
         survivor = app.instances[1]
@@ -188,12 +209,18 @@ class TestThrottledMigration:
                 by_partition[partition].append(key)
             i += 1
         deep_key, shallow_key = by_partition[0][0], by_partition[1][0]
+        # One record per key per processed round: one changelog record per
+        # input (see produce_in_rounds).
         for j in range(80):
             producer.send("in", key=deep_key, value=j, timestamp=float(j))
-        for j in range(6):
-            producer.send("in", key=shallow_key, value=j, timestamp=float(j))
-        producer.flush()
-        app.run_until_idle(max_steps=50_000)
+            if j < 6:
+                producer.send(
+                    "in", key=shallow_key, value=j, timestamp=float(j)
+                )
+            producer.flush()
+            app.run_until_idle(max_steps=50_000)
+        deep, shallow = changelog_depths(cluster)
+        assert deep >= 4 * 4 and deep > 4 * shallow
 
         for victim in list(app.instances):
             app.crash_instance(victim)
